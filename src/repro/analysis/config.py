@@ -26,9 +26,13 @@ __all__ = [
 
 # Modules declared hot: every per-element Python loop is a regression
 # unless explicitly suppressed with a reason, and every array constructor
-# must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work.
+# must pin its dtype.  Mirrors the PR-1/PR-4/PR-5 vectorization work plus
+# the inference-side LoRA step that dominates the end-to-end ledger.
 HOT_MODULES: tuple[str, ...] = (
     "repro.core.kernels",
+    "repro.core.lora",
+    "repro.core.trainer",
+    "repro.core.pruning",
     "repro.hardware.vectorcache",
     "repro.cluster.shardstore.*",
     "repro.dlrm.embedding",
@@ -36,6 +40,7 @@ HOT_MODULES: tuple[str, ...] = (
     "repro.dlrm.interaction",
     "repro.dlrm.model",
     "repro.dlrm.optim",
+    "repro.dlrm.metrics",
     "repro.obs.metrics",
 )
 

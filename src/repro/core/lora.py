@@ -60,7 +60,7 @@ class LoRAAdapter:
         self.rank = rank
         self.capacity = capacity
         self.universe = universe
-        self.a = np.zeros((capacity, rank))
+        self.a = np.zeros((capacity, rank), dtype=np.float64)
         self.b = rng.normal(0.0, 1.0 / np.sqrt(rank), size=(rank, dim))
         self._slots = IdSlotTable(capacity, universe=universe)
         self.evictions = 0
@@ -133,7 +133,7 @@ class LoRAAdapter:
             # Common serving case (the overlay only sends hot ids): one
             # gather + matmul, no zero-fill/scatter pass.
             return self.a[slots] @ self.b
-        out = np.zeros((ids.shape[0], self.dim))
+        out = np.zeros((ids.shape[0], self.dim), dtype=np.float64)
         if hit.any():
             out[hit] = self.a[slots[hit]] @ self.b
         return out
@@ -155,6 +155,8 @@ class LoRAAdapter:
         within a step, so rows with distinct ids commute; repeated ids are
         handled in occurrence order (round ``r`` applies every id's
         ``r``-th gradient row) to preserve the sequential SGD semantics.
+        Strictly increasing ids (the sorted unique rows of a sparse
+        gradient) are one round, detected with one O(n) comparison.
 
         Returns the number of ids actually updated.
         """
@@ -167,12 +169,17 @@ class LoRAAdapter:
             return 0
         v_slots = slots[valid]
         grads = grad_rows[valid]
-        occurrence = self._occurrence_index(v_slots)
+        v_ids = ids[valid]
+        if (v_ids[1:] > v_ids[:-1]).all():
+            rounds = [(v_slots, grads)]
+        else:
+            occurrence = self._occurrence_index(v_slots)
+            rounds = [
+                (v_slots[occurrence == r], grads[occurrence == r])
+                for r in range(int(occurrence.max()) + 1)
+            ]
         grad_b = np.zeros_like(self.b)
-        for r in range(int(occurrence.max()) + 1):
-            sel = occurrence == r
-            s = v_slots[sel]
-            g = grads[sel]
+        for s, g in rounds:
             grad_b += self.a[s].T @ g
             self.a[s] -= lr * (g @ self.b.T)
         self.b -= lr * grad_b
@@ -186,7 +193,7 @@ class LoRAAdapter:
         _, counts = np.unique(sorted_slots, return_counts=True)
         group_start = np.repeat(np.cumsum(counts) - counts, counts)
         occ = np.empty(slots.size, dtype=np.int64)
-        occ[order] = np.arange(slots.size) - group_start
+        occ[order] = np.arange(slots.size, dtype=np.int64) - group_start
         return occ
 
     def scatter_rows(self, ids: np.ndarray, rows: np.ndarray) -> int:
@@ -203,7 +210,7 @@ class LoRAAdapter:
         if not hit.any():
             return 0
         width = min(rows.shape[1], self.rank)
-        payload = np.zeros((int(hit.sum()), self.rank))
+        payload = np.zeros((int(hit.sum()), self.rank), dtype=np.float64)
         payload[:, :width] = rows[hit][:, :width]
         self.a[slots[hit]] = payload
         return int(hit.sum())
@@ -223,7 +230,9 @@ class LoRAAdapter:
         if new_rank <= 0 or new_rank > self.dim:
             raise ValueError("invalid rank")
         if new_rank > self.rank:
-            pad_a = np.zeros((self.capacity, new_rank - self.rank))
+            pad_a = np.zeros(
+                (self.capacity, new_rank - self.rank), dtype=np.float64
+            )
             rng = np.random.default_rng(self.rank * 7919 + new_rank)
             pad_b = rng.normal(
                 0.0, 1.0 / np.sqrt(new_rank), size=(new_rank - self.rank, self.dim)
@@ -250,15 +259,16 @@ class LoRAAdapter:
                 # is ~zero too, so the represented update barely moves.
                 rng = np.random.default_rng(self.rank * 7919 + k)
                 floor = 0.1 / np.sqrt(k)
+                # repro-lint: disable=hot-loop -- one iteration per rank direction (k <= d rows of B), run only when the rank shrinks; each row's replacement draw must follow the seeded stream in order
                 for j in range(new_b.shape[0]):
                     if np.linalg.norm(new_b[j]) < floor:
                         new_b[j] = rng.normal(0.0, 1.0 / np.sqrt(k), self.dim)
-                self.a = np.zeros((self.capacity, k))
+                self.a = np.zeros((self.capacity, k), dtype=np.float64)
                 self.a[active] = new_a_rows
                 self.b = new_b
             else:
                 # Nothing learned yet: keep the leading learned directions.
-                self.a = np.zeros((self.capacity, new_rank))
+                self.a = np.zeros((self.capacity, new_rank), dtype=np.float64)
                 self.b = self.b[:new_rank].copy()
         self.rank = new_rank
 
@@ -282,7 +292,7 @@ class LoRAAdapter:
         # Repack survivors densely: ascending ids take slots 0..n-1.
         keys = self._slots.keys
         old_slots = self._slots.slots
-        new_a = np.zeros((new_capacity, self.rank))
+        new_a = np.zeros((new_capacity, self.rank), dtype=np.float64)
         new_a[: keys.size] = self.a[old_slots]
         self.a = new_a
         self._slots.rebuild_sorted(keys, new_capacity)
@@ -372,7 +382,7 @@ class LoRACollection:
             if mask.all():
                 return adapter.apply_to(ids, base_rows)
             out = np.array(base_rows, dtype=np.float64, copy=True)
-            hot_ids = np.asarray(ids)[mask]
+            hot_ids = np.asarray(ids, dtype=np.int64)[mask]
             out[mask] = adapter.apply_to(hot_ids, out[mask])
             return out
 

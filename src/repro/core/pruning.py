@@ -9,11 +9,15 @@ times (the *active set*), and resizes the LoRA table to
 ``tau_prune`` can also be derived dynamically: given the access histogram,
 pick the frequency at the top-``hot_fraction`` boundary (the paper uses the
 top-10% boundary, because those ids absorb ~93.8% of traffic, Fig. 12).
+
+Counts live in a dense per-id array, so one training iteration costs two
+whole-array passes (``counts[new] += 1``, ``counts[expired] -= 1``) and
+every decision reads the array directly — no per-id Python work.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,38 +79,51 @@ class UsageTracker:
         self.c_min = c_min
         self.c_max = c_max
         self._history: deque[np.ndarray] = deque()
-        self._counts: Counter[int] = Counter()
+        # Window update count per id; ids may exceed c_max, so the array
+        # grows on demand.  Zero means "not tracked".
+        self._counts = np.zeros(c_max, dtype=np.int64)
         self.iteration = 0
 
     # -------------------------------------------------------------- tracking
     def record_update(self, ids: np.ndarray) -> None:
         """Register the ids touched by one training iteration."""
-        ids = np.unique(np.asarray(ids, dtype=np.int64))
+        ids = np.array(ids, dtype=np.int64).ravel()
+        if not (ids[1:] > ids[:-1]).all():
+            ids = np.unique(ids)
+        if ids.size:
+            if ids[0] < 0:
+                raise ValueError("ids must be non-negative")
+            if ids[-1] >= self._counts.size:
+                grown = np.zeros(
+                    max(int(ids[-1]) + 1, 2 * self._counts.size),
+                    dtype=np.int64,
+                )
+                grown[: self._counts.size] = self._counts
+                self._counts = grown
         self._history.append(ids)
-        self._counts.update(int(i) for i in ids)
+        self._counts[ids] += 1
         self.iteration += 1
         while len(self._history) > self.window_iters:
-            expired = self._history.popleft()
-            for i in expired:
-                i = int(i)
-                self._counts[i] -= 1
-                if self._counts[i] <= 0:
-                    del self._counts[i]
+            self._counts[self._history.popleft()] -= 1
 
     def frequency(self, idx: int) -> int:
         """Updates of ``idx`` within the current window."""
-        return self._counts.get(int(idx), 0)
+        idx = int(idx)
+        if 0 <= idx < self._counts.size:
+            return int(self._counts[idx])
+        return 0
 
     @property
     def num_tracked(self) -> int:
-        return len(self._counts)
+        return int(np.count_nonzero(self._counts))
 
     # -------------------------------------------------------------- decision
     def active_set(self, tau: float | None = None) -> np.ndarray:
-        """Ids with ``f_i >= tau`` (Algorithm 1, lines 6-8)."""
+        """Tracked ids with ``f_i >= tau`` (Algorithm 1, lines 6-8)."""
         tau = self.tau_prune if tau is None else tau
-        ids = [i for i, c in self._counts.items() if c >= tau]
-        return np.array(sorted(ids), dtype=np.int64)
+        counts = self._counts
+        keep = counts >= tau if tau > 0 else counts > 0
+        return np.flatnonzero(keep).astype(np.int64, copy=False)
 
     def decide(self, tau: float | None = None) -> PruneDecision:
         """Full Algorithm-1 decision: active set + clamped capacity (Eq. 4)."""
@@ -117,6 +134,6 @@ class UsageTracker:
 
     def refresh_tau_from_window(self, hot_fraction: float = 0.10) -> float:
         """Dynamically re-derive tau from the current window's histogram."""
-        counts = np.array(list(self._counts.values()), dtype=np.float64)
+        counts = self._counts[self._counts > 0].astype(np.float64)
         self.tau_prune = dynamic_tau_from_counts(counts, hot_fraction)
         return self.tau_prune

@@ -3,8 +3,10 @@
 The trainer lives inside an inference node.  At a fixed cadence it samples
 mini-batches from the inference-log ring buffer, runs a forward pass *through
 the adapted embeddings* (``W_base + A B``), backpropagates only into the
-LoRA factors (base weights and dense layers stay frozen), and applies the
-dynamic rank / pruning controllers every ``adapt_interval`` iterations.
+LoRA factors (base weights and dense layers stay frozen, so the backward
+is embedding-only: :meth:`repro.dlrm.model.DLRM.backward_embeddings`), and
+applies the dynamic rank / pruning controllers every ``adapt_interval``
+iterations.
 
 Every updated id is reported to the :class:`~repro.core.hot_index.HotIndexFilter`
 so the serving path knows which lookups need the LoRA adjustment.
@@ -32,6 +34,12 @@ __all__ = ["TrainerConfig", "TrainerReport", "LoRATrainer"]
 class TrainerConfig:
     """Hyper-parameters of the online trainer.
 
+    Rank changes are applied asymmetrically: *growth* happens immediately
+    (extra directions are needed to capture the updates), while *shrink*
+    decisions are deferred to the next adapter reset (hourly merge/full
+    sync), because truncating a live adapter measurably and persistently
+    costs accuracy, whereas shrinking an empty one is free.
+
     Attributes:
         rank: initial LoRA rank.
         lr: learning rate for A/B factors.
@@ -45,21 +53,21 @@ class TrainerConfig:
             histogram so it tracks the top-``hot_fraction`` boundary
             (Section IV-C's tau maintenance).
         hot_fraction: boundary for the dynamic threshold (paper: top 10%).
+        capacity_fraction: initial LoRA capacity as a fraction of each
+            table (paper initialises at 10%).
+        c_min_fraction: capacity floor, default 1/50 of the table.
+        usage_window: length ``T`` of the usage-tracking sliding window,
+            in training iterations.
+        tau_prune: initial pruning threshold (updates per window); with
+            ``dynamic_tau`` it is re-derived at every adaptation.
+        grad_snapshot_rows: max gradient rows kept for PCA snapshots.
+        min_rank: floor of the rank that adaptation may recommend.
+        max_rank: ceiling of the rank that adaptation may recommend.
         rank_hysteresis: only resize when the recommended rank differs from
             the current one by at least this much.  Resizing re-orients the
             shared ``B`` factors, which costs accumulated adaptation, so
             chasing +-1 fluctuations is a net loss (the paper's averaging
             over the interval serves the same smoothing purpose).
-
-    Rank changes are applied asymmetrically: *growth* happens immediately
-    (extra directions are needed to capture the updates), while *shrink*
-    decisions are deferred to the next adapter reset (hourly merge/full
-    sync), because truncating a live adapter measurably and persistently
-    costs accuracy, whereas shrinking an empty one is free.
-        capacity_fraction: initial LoRA capacity as a fraction of each
-            table (paper initialises at 10%).
-        c_min_fraction: capacity floor, default 1/50 of the table.
-        grad_snapshot_rows: max gradient rows kept for PCA snapshots.
         seed: RNG seed for buffer sampling.
     """
 
@@ -181,8 +189,8 @@ class LoRATrainer:
             cache = self.model.forward(
                 dense, sparse_ids, overlay=self.lora.overlay()
             )
-            result = self.model.backward(cache, labels)
-            for f, grad in enumerate(result.embedding_grads):
+            loss, grads = self.model.backward_embeddings(cache, labels)
+            for f, grad in enumerate(grads):
                 adapter = self.lora[f]
                 updated = adapter.accumulate_grad(grad.indices, grad.rows, cfg.lr)
                 self.report.rows_updated += updated
@@ -195,13 +203,15 @@ class LoRATrainer:
             if self.report.steps % cfg.adapt_interval == 0:
                 self._adapt()
         self.report.train_seconds += span.duration
-        return result.loss
+        return loss
 
     # ------------------------------------------------------------ adaptation
     def _gradient_snapshot(self, field: int) -> np.ndarray:
         rows = list(self._grad_snapshots[field])
         if not rows:
-            return np.zeros((0, self.model.embeddings[field].dim))
+            return np.zeros(
+                (0, self.model.embeddings[field].dim), dtype=np.float64
+            )
         snap = np.concatenate(rows, axis=0)
         return snap[-self.config.grad_snapshot_rows :]
 
@@ -212,6 +222,7 @@ class LoRATrainer:
             if cfg.dynamic_rank:
                 snap = self._gradient_snapshot(f)
                 if snap.shape[0] >= 2:
+                    # repro-lint: disable=obs-discipline -- RankMonitor.observe feeds one field's gradient snapshot to its PCA rank monitor (once per table per adapt interval); it is not a telemetry histogram
                     self.rank_monitors[f].observe(snap)
                     new_rank = self.rank_monitors[f].recommended_rank(
                         fallback=adapter.rank

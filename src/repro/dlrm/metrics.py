@@ -2,8 +2,8 @@
 
 AUC-ROC is the paper's headline accuracy metric (Table III, Fig. 15).  The
 implementation here is exact (rank-statistic form with proper tie handling)
-and O(n log n), plus windowed/streaming helpers used by the freshness
-experiments.
+and O(n log n) with no per-element Python loop, plus windowed/streaming
+helpers used by the freshness experiments.
 """
 
 from __future__ import annotations
@@ -28,18 +28,15 @@ def auc_roc(labels: np.ndarray, scores: np.ndarray) -> float:
     n_neg = float(labels.shape[0] - n_pos)
     if n_pos == 0 or n_neg == 0:
         return float("nan")
-    # Midranks handle ties exactly.
+    # Midranks handle ties exactly: a tie group spanning sorted positions
+    # [left, right) shares rank 0.5 * (left + right - 1) + 1, the mean of
+    # its 1-based positions, found with two binary searches.
     order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty_like(scores)
     sorted_scores = scores[order]
-    i = 0
-    n = scores.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    left = np.searchsorted(sorted_scores, sorted_scores, "left")
+    right = np.searchsorted(sorted_scores, sorted_scores, "right")
+    ranks = np.empty_like(scores)
+    ranks[order] = 0.5 * (left + right - 1) + 1.0
     rank_sum_pos = float(ranks[labels > 0.5].sum())
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return u / (n_pos * n_neg)

@@ -10,7 +10,9 @@ passes are *fused* over the whole batch:
   intermediate allocations beyond the single cache);
 * :meth:`MLP.backward` writes every parameter gradient into one flat
   buffer whose per-layer views form the returned :class:`DenseGrads`,
-  so a whole SGD step is one fused ``params -= lr * flat`` axpy.
+  so a whole SGD step is one fused ``params -= lr * flat`` axpy;
+* :meth:`MLP.backward_input` is the frozen-parameter variant: input
+  gradient only, no parameter gradients and no flat buffer.
 
 Parameters live in a single flat buffer too; ``weights``/``biases`` are
 reshaped views over it, so existing per-layer access (tests, Adagrad
@@ -260,6 +262,24 @@ class MLP:
             g.sum(axis=0, out=grad_b[layer])
             g = g @ self.weights[layer].T
         return g, DenseGrads(grad_w, grad_b, flat)
+
+    def backward_input(
+        self, cache: ActivationCache, grad_out: np.ndarray
+    ) -> np.ndarray:
+        """Gradient w.r.t. the network input only (frozen parameters).
+
+        The input-gradient half of :meth:`backward` — the same ReLU
+        masks and ``g @ W.T`` products, bit-for-bit — without the weight
+        and bias gradients or their flat buffer.  A trainer that never
+        updates this MLP needs nothing else from it.
+        """
+        g = np.array(grad_out, dtype=self.dtype)
+        last = self.num_layers - 1
+        for layer in range(last, -1, -1):
+            if layer != last or self.final_relu:
+                np.multiply(g, cache[layer + 1] > 0.0, out=g)
+            g = g @ self.weights[layer].T
+        return g
 
     def apply_grads(self, grads: DenseGrads, lr: float) -> None:
         """In-place SGD step — one fused axpy when the grads are

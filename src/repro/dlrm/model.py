@@ -9,7 +9,9 @@ The model follows Fig. 1 of the paper (and Naumov et al.'s reference DLRM):
 
 Training minimises binary cross-entropy; the backward pass produces row-sparse
 embedding gradients (the raw material of the paper's low-rank analysis) plus
-dense grads for both MLPs.  The sparse backward accumulates duplicate ids
+dense grads for both MLPs; :meth:`DLRM.backward_embeddings` is the
+frozen-dense variant that produces the embedding gradients alone.  The
+sparse backward accumulates duplicate ids
 through :func:`repro.core.kernels.group_rows_sum` (duplicate-sparse
 scatter-add) and the optimizer's row updates stamp the tables'
 :class:`repro.core.kernels.TouchedRows` epoch lanes, so a full
@@ -196,15 +198,15 @@ class DLRM:
         return self.forward(dense, sparse_ids, overlay=overlay).probs
 
     # --------------------------------------------------------------- backward
-    def backward(
-        self, cache: ForwardCache, labels: np.ndarray
-    ) -> TrainStepResult:
-        """BCE backward pass from a cached forward."""
+    @staticmethod
+    def _bce_head(
+        probs: np.ndarray, labels: np.ndarray
+    ) -> tuple[float, np.ndarray]:
+        """Mean BCE loss and ``dL/dlogit`` as a ``(batch, 1)`` column."""
         # Labels join on the model's lane so the loss and every gradient
         # stay in one dtype instead of silently upcasting to float64.
-        labels = np.asarray(labels, dtype=cache.probs.dtype).ravel()
+        labels = np.asarray(labels, dtype=probs.dtype).ravel()
         batch = labels.shape[0]
-        probs = cache.probs
         eps = 1e-12
         loss = float(
             -(
@@ -213,23 +215,50 @@ class DLRM:
             ).mean()
         )
         # dL/dlogit for sigmoid + BCE, averaged over the batch.
-        grad_logit = ((probs - labels) / batch)[:, None]
+        return loss, ((probs - labels) / batch)[:, None]
+
+    def _embedding_grads(
+        self, cache: ForwardCache, grad_embs: list[np.ndarray]
+    ) -> list[SparseRowGrad]:
+        return [
+            table.grad_from_output(cache.sparse_ids[:, f], grad_embs[f])
+            for f, table in enumerate(self.embeddings)
+        ]
+
+    def backward(
+        self, cache: ForwardCache, labels: np.ndarray
+    ) -> TrainStepResult:
+        """BCE backward pass from a cached forward."""
+        loss, grad_logit = self._bce_head(cache.probs, labels)
         grad_inter, top_grads = self.top.backward(cache.top_cache, grad_logit)
         grad_dense_vec, grad_embs = self.interaction.backward(
             cache.stacked, grad_inter
         )
         _, bottom_grads = self.bottom.backward(cache.bottom_cache, grad_dense_vec)
-        emb_grads = [
-            table.grad_from_output(cache.sparse_ids[:, f], grad_embs[f])
-            for f, table in enumerate(self.embeddings)
-        ]
         return TrainStepResult(
             loss=loss,
-            probs=probs,
-            embedding_grads=emb_grads,
+            probs=cache.probs,
+            embedding_grads=self._embedding_grads(cache, grad_embs),
             bottom_grads=bottom_grads,
             top_grads=top_grads,
         )
+
+    def backward_embeddings(
+        self, cache: ForwardCache, labels: np.ndarray
+    ) -> tuple[float, list[SparseRowGrad]]:
+        """Embedding-only BCE backward for a frozen dense stack.
+
+        Returns ``(loss, embedding_grads)`` equal, bit for bit, to the
+        ``loss`` and ``embedding_grads`` of :meth:`backward`, but runs
+        only the path those need: the top MLP's input gradient, the
+        interaction backward and the sparse row accumulation.  No MLP
+        weight gradient is formed and the bottom MLP is never touched
+        (the inference-side LoRA trainer adapts embeddings only).
+        """
+        loss, grad_logit = self._bce_head(cache.probs, labels)
+        grad_inter = self.top.backward_input(cache.top_cache, grad_logit)
+        _, grad_embs = self.interaction.backward(cache.stacked, grad_inter)
+        return loss, self._embedding_grads(cache, grad_embs)
 
     def loss_and_grads(
         self, dense: np.ndarray, sparse_ids: np.ndarray, labels: np.ndarray

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import accumulate_grad_rounds
 from repro.core.lora import LoRAAdapter, LoRACollection
 
 
@@ -91,6 +92,31 @@ class TestGradients:
     def test_returns_update_count(self, adapter):
         n = adapter.accumulate_grad(np.array([1, 2]), np.ones((2, 8)), lr=0.1)
         assert n == 2
+
+    @pytest.mark.parametrize(
+        "ids",
+        [
+            [3],
+            [0, 2, 5, 7, 40, 41],  # 40/41 find no free slot
+            [1, 1, 4, 2, 4, 1],  # duplicates: the occurrence rounds
+            [2, 2, 5, 5, 5],  # sorted but not strictly increasing
+            [9, 4, 6],  # unique but unsorted
+        ],
+    )
+    def test_matches_occurrence_round_path(self, ids):
+        """Unique increasing ids skip the occurrence pass; every batch
+        still equals the seed all-rounds path bit for bit."""
+        rng = np.random.default_rng(len(ids))
+        new = LoRAAdapter(8, 4, 4, rng=np.random.default_rng(0), universe=64)
+        ref = LoRAAdapter(8, 4, 4, rng=np.random.default_rng(0), universe=64)
+        ids = np.array(ids, dtype=np.int64)
+        for _ in range(5):
+            g = rng.normal(size=(ids.size, 8))
+            got = new.accumulate_grad(ids, g, lr=0.1)
+            assert got == accumulate_grad_rounds(ref, ids, g, lr=0.1)
+        np.testing.assert_array_equal(new.a, ref.a)
+        np.testing.assert_array_equal(new.b, ref.b)
+        np.testing.assert_array_equal(new.active_ids, ref.active_ids)
 
 
 class TestRankResize:

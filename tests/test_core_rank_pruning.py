@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import CounterUsageTracker
 from repro.core.pruning import UsageTracker, dynamic_tau_from_counts
 from repro.core.rank_adaptation import (
     RankMonitor,
@@ -185,3 +188,60 @@ class TestUsageTracker:
                 t.record_update(np.array([idx]))
         tau = t.refresh_tau_from_window(hot_fraction=0.34)
         assert tau == 5.0  # top-1 of 3 tracked ids
+
+    def test_ids_beyond_c_max_grow_the_counts(self):
+        t = UsageTracker(4, tau_prune=1, c_min=1, c_max=8)
+        t.record_update(np.array([3, 1000]))
+        assert t.frequency(1000) == 1
+        assert t.frequency(10**9) == 0
+        assert t.active_set().tolist() == [3, 1000]
+
+    def test_negative_ids_rejected(self):
+        t = UsageTracker(4, tau_prune=1, c_min=1, c_max=8)
+        with pytest.raises(ValueError):
+            t.record_update(np.array([-1, 2]))
+
+    def test_record_does_not_alias_caller_ids(self):
+        t = UsageTracker(1, tau_prune=1, c_min=1, c_max=8)
+        ids = np.array([1, 2])
+        t.record_update(ids)
+        ids[:] = 5  # caller reuses its buffer
+        t.record_update(np.array([3]))  # expires the first iteration
+        assert t.num_tracked == 1
+        assert t.frequency(1) == 0 and t.frequency(5) == 0
+
+
+@given(
+    updates=st.lists(
+        st.lists(st.integers(0, 40), min_size=0, max_size=12),
+        min_size=1,
+        max_size=40,
+    ),
+    window=st.integers(1, 8),
+    c_max=st.integers(1, 30),
+    tau=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0, 3.0]),
+    hot_fraction=st.sampled_from([0.05, 0.34, 1.0]),
+)
+@settings(max_examples=200, deadline=None)
+def test_usage_tracker_matches_counter_oracle(
+    updates, window, c_max, tau, hot_fraction
+):
+    """Array counts == the seed Counter through expiry, ids >= c_max,
+    in-update duplicates and non-positive thresholds."""
+    new = UsageTracker(window, tau_prune=tau, c_min=1, c_max=c_max)
+    ref = CounterUsageTracker(window, tau_prune=tau, c_min=1, c_max=c_max)
+    for ids in updates:
+        new.record_update(np.array(ids, dtype=np.int64))
+        ref.record_update(np.array(ids, dtype=np.int64))
+        assert new.num_tracked == ref.num_tracked
+        np.testing.assert_array_equal(new.active_set(), ref.active_set())
+        d_new, d_ref = new.decide(), ref.decide()
+        np.testing.assert_array_equal(d_new.active_ids, d_ref.active_ids)
+        assert d_new.new_capacity == d_ref.new_capacity
+    for idx in range(-1, 45):
+        assert new.frequency(idx) == ref.frequency(idx)
+    if ref.num_tracked:
+        assert new.refresh_tau_from_window(
+            hot_fraction
+        ) == ref.refresh_tau_from_window(hot_fraction)
+        np.testing.assert_array_equal(new.active_set(), ref.active_set())

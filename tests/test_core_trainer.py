@@ -1,11 +1,16 @@
 """Tests for the inference-side LoRA trainer."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from oracles import CounterUsageTracker, accumulate_grad_rounds
+from repro.core.dtypes import SERVE, TRAIN
 from repro.core.trainer import LoRATrainer, TrainerConfig
 from repro.data.stream import InferenceLogBuffer
 from repro.data.synthetic import DriftingCTRStream, StreamConfig
+from repro.dlrm.mlp import MLP
 from repro.dlrm.model import DLRM, DLRMConfig
 
 
@@ -193,3 +198,84 @@ class TestMerge:
         model, _, buffer = world
         trainer = LoRATrainer(model, buffer)
         assert trainer.memory_bytes() > 0
+
+
+class TestEmbeddingOnlyBackward:
+    """The frozen-dense step computes exactly what the full backward does
+    for the embeddings, and nothing for the MLPs."""
+
+    @pytest.mark.parametrize("policy", [TRAIN, SERVE], ids=["train", "serve"])
+    def test_matches_full_backward(self, policy):
+        model = DLRM(
+            DLRMConfig(
+                num_dense=3,
+                embedding_dim=8,
+                table_sizes=(50, 7),  # the 7-row field repeats ids
+                bottom_mlp=(8,),
+                top_mlp=(16, 8),
+                policy=policy,
+            )
+        )
+        rng = np.random.default_rng(5)
+        dense = rng.normal(size=(64, 3))
+        ids = np.stack(
+            [rng.integers(0, 50, 64), rng.integers(0, 7, 64)], axis=1
+        )
+        labels = rng.integers(0, 2, 64)
+        cache = model.forward(dense, ids)
+        loss, grads = model.backward_embeddings(cache, labels)
+        full = model.backward(cache, labels)
+        assert loss == full.loss
+        assert len(grads) == len(full.embedding_grads)
+        for got, want in zip(grads, full.embedding_grads):
+            assert got.rows.dtype == want.rows.dtype == policy.row_dtype
+            np.testing.assert_array_equal(got.indices, want.indices)
+            np.testing.assert_array_equal(got.rows, want.rows)
+
+    @pytest.mark.parametrize("final_relu", [False, True])
+    def test_mlp_backward_input_matches_backward(self, final_relu):
+        mlp = MLP([5, 7, 3], rng=np.random.default_rng(1), final_relu=final_relu)
+        rng = np.random.default_rng(2)
+        _, cache = mlp.forward(rng.normal(size=(9, 5)))
+        grad_out = rng.normal(size=(9, 3))
+        want, _ = mlp.backward(cache, grad_out)
+        np.testing.assert_array_equal(mlp.backward_input(cache, grad_out), want)
+
+    def test_fifty_steps_bit_equal_to_full_backward_trainer(self, world):
+        """The trainer against a reference built from the seed pieces:
+        the full ``DLRM.backward``, the ``Counter`` usage tracker and the
+        all-rounds ``accumulate_grad``."""
+        model, stream, buffer = world
+        _fill(buffer, stream, batches=8)
+        cfg = TrainerConfig(
+            batch_size=48, adapt_interval=8, capacity_fraction=0.2, lr=0.2
+        )
+        new = LoRATrainer(model, buffer, cfg)
+        ref_model = model.copy()
+
+        def full_backward(cache, labels):
+            result = ref_model.backward(cache, labels)
+            return result.loss, result.embedding_grads
+
+        ref_model.backward_embeddings = full_backward
+        ref = LoRATrainer(ref_model, buffer, cfg)
+        ref.usage = [
+            CounterUsageTracker(u.window_iters, u.tau_prune, u.c_min, u.c_max)
+            for u in ref.usage
+        ]
+        for adapter in ref.lora:
+            adapter.accumulate_grad = functools.partial(
+                accumulate_grad_rounds, adapter
+            )
+        for _ in range(50):
+            assert new.train_step() == ref.train_step()
+        assert new.report.prune_events + new.report.rank_changes > 0
+        for a_new, a_ref in zip(new.lora, ref.lora):
+            np.testing.assert_array_equal(a_new.a, a_ref.a)
+            np.testing.assert_array_equal(a_new.b, a_ref.b)
+            np.testing.assert_array_equal(a_new.active_ids, a_ref.active_ids)
+            assert a_new.rank == a_ref.rank
+            assert a_new.capacity == a_ref.capacity
+        assert new.report.rows_updated == ref.report.rows_updated
+        assert new.report.current_ranks == ref.report.current_ranks
+        assert new.report.current_capacities == ref.report.current_capacities

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracles import auc_roc_loop
 from repro.dlrm.metrics import StreamingAUC, auc_roc, calibration_ratio, log_loss
 
 
@@ -47,6 +48,55 @@ class TestAUC:
         ties = (pos[:, None] == neg[None, :]).sum()
         naive = (wins + 0.5 * ties) / (len(pos) * len(neg))
         assert auc_roc(labels, scores) == pytest.approx(naive, abs=1e-12)
+
+
+class TestAUCMatchesLoopOracle:
+    """The searchsorted midranks equal the seed per-element loop exactly."""
+
+    def test_random_heavy_ties_bit_identical(self):
+        rng = np.random.default_rng(7)
+        for case in range(600):
+            n = int(rng.integers(2, 300))
+            labels = rng.integers(0, 2, n)
+            levels = int(rng.integers(1, 12))
+            scores = rng.integers(0, levels, n) / max(levels - 1, 1)
+            if case % 2:
+                scores = (scores + rng.normal(0, 1e-3, n)).astype(np.float32)
+            expected = auc_roc_loop(labels, scores)
+            got = auc_roc(labels, scores)
+            if np.isnan(expected):
+                assert np.isnan(got)
+            else:
+                assert got == expected
+
+    def test_float32_scores(self):
+        rng = np.random.default_rng(3)
+        labels = rng.integers(0, 2, 3072)
+        scores = rng.random(3072).astype(np.float32)
+        scores[::7] = scores[0]
+        assert auc_roc(labels, scores) == auc_roc_loop(labels, scores)
+
+    def test_all_tied(self):
+        labels = np.array([0, 1, 1, 0, 1])
+        scores = np.full(5, 0.25)
+        assert auc_roc(labels, scores) == auc_roc_loop(labels, scores) == 0.5
+
+    def test_single_class_nan(self):
+        scores = np.array([0.2, 0.2, 0.9])
+        for labels in (np.zeros(3), np.ones(3)):
+            assert np.isnan(auc_roc(labels, scores))
+            assert np.isnan(auc_roc_loop(labels, scores))
+
+    @pytest.mark.parametrize(
+        "labels, scores",
+        [
+            ([0, 1], [0.1, 0.9]),
+            ([1, 0], [0.1, 0.9]),
+            ([0, 1], [0.5, 0.5]),
+        ],
+    )
+    def test_two_samples(self, labels, scores):
+        assert auc_roc(labels, scores) == auc_roc_loop(labels, scores)
 
 
 class TestLogLoss:
